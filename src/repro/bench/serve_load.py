@@ -137,14 +137,11 @@ def measure_serve_load(
     clients: int,
     queries_per_client: int,
     seed: int = 0,
-    batch_window: float = 0.002,
 ) -> dict:
     """One load row: ``clients`` concurrent sessions over ``atoms`` atoms."""
 
     async def _drive() -> dict:
-        server = ArbitrationServer(
-            ServeConfig(port=0, batch_window=batch_window)
-        )
+        server = ArbitrationServer(ServeConfig(port=0))
         await server.start()
         try:
             started = time.perf_counter()

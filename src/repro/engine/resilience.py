@@ -211,7 +211,15 @@ def run_resilient(
             return
         flight.started_at = None
         task = replace(flight.task, attempt=flight.attempt)
-        pending[executor.submit(worker_fn, task)] = flight
+        try:
+            future = executor.submit(worker_fn, task)
+        except BrokenProcessPool as error:
+            # A worker died while chunks were still being submitted: park
+            # the chunk on a failed future so the crash path below
+            # recycles the pool, instead of letting the error escape.
+            future = Future()
+            future.set_exception(error)
+        pending[future] = flight
 
     def prune() -> None:
         nonlocal delayed

@@ -149,13 +149,16 @@ def atomic_write_text(path: str, text: str) -> None:
 def save_json_snapshot(path: str, payload: dict[str, Any]) -> None:
     """Atomically persist a versioned snapshot payload as canonical JSON.
 
-    The rendering is deterministic (sorted keys, fixed indent, trailing
-    newline), so an unchanged payload re-saves byte-identically — the
-    property the serving layer's restart tests pin.
+    The rendering is deterministic and compact (sorted keys, no
+    whitespace between tokens, trailing newline), so an unchanged payload
+    re-saves byte-identically — the property the serving layer's restart
+    tests pin.  Compact output also keeps the encode on CPython's C
+    encoder, which ``indent`` would disable.  Any JSON layout loads, so
+    snapshots written indented by older releases still restore.
     """
     if "version" not in payload:
         raise ReproError("snapshot payloads must carry a 'version' stamp")
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
     atomic_write_text(path, text)
 
 

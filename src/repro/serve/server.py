@@ -8,15 +8,18 @@ Architecture (``docs/serving.md`` has the full picture):
   (``serve.shed`` counts the victims).  ``/healthz`` and ``/metrics``
   bypass the queue so the server stays observable under overload.
 * **Cross-request micro-batching** — a single batcher task drains the
-  queue with a short deadline window (``batch_window`` seconds, at most
-  ``batch_max`` jobs), groups the jobs by coalescing key — the session
-  vocabulary, so queries against the same vocabulary land on the one
-  shared :class:`~repro.session.registry.ExecutionContext` back to back
-  with its distance matrix and caches hot — and executes the whole batch
-  on a single worker thread.  One worker means session state needs no
+  queue greedily: it blocks only while the queue is empty, then takes
+  every job already queued (at most ``batch_max``) without waiting for
+  more, so an idle server never holds a job back.  It groups the jobs by
+  coalescing key — the session vocabulary, so queries against the same
+  vocabulary land on the one shared
+  :class:`~repro.session.registry.ExecutionContext` back to back with its
+  distance matrix and caches hot — and executes the whole batch on a
+  single worker thread.  One worker means session state needs no
   locks: the event loop only parses, frames, and awaits futures.
 * **Persistence** — with a store configured, every mutating query
-  snapshots its session atomically; an unknown id is loaded from the
+  snapshots its session atomically (compact canonical JSON, fsync'd
+  before the response is sent); an unknown id is loaded from the
   store on first touch, so a restarted server resumes exactly where the
   snapshots say (byte-identically — the restart tests pin it).
 
@@ -85,9 +88,6 @@ class ServeConfig:
     store_dir: Optional[str] = None
     #: Admission bound: jobs queued beyond this are shed with 429.
     queue_limit: int = 256
-    #: Micro-batching window in seconds: how long the batcher waits for
-    #: more jobs to coalesce after the first arrives.
-    batch_window: float = 0.002
     #: Hard cap on jobs per batch.
     batch_max: int = 32
     #: Default ``impl`` for sessions that do not choose one.
@@ -321,24 +321,26 @@ class ArbitrationServer:
         return key
 
     async def _batcher(self) -> None:
-        """Drain the queue into deadline-windowed, vocabulary-grouped batches."""
+        """Greedily drain the queue into vocabulary-grouped batches.
+
+        Blocks only while the queue is empty; once a job arrives, whatever
+        else is already queued (up to ``batch_max``) joins it and the batch
+        runs at once.  Jobs arriving while a batch executes form the next
+        batch, so load itself sets the batch size and an idle server never
+        holds a job back waiting for company.
+        """
         assert self._queue is not None
-        loop = asyncio.get_running_loop()
         while True:
             job = await self._queue.get()
             if job is None:
                 return
             batch = [job]
+            drained = False
             try:
-                deadline = loop.time() + self.config.batch_window
-                drained = False
                 while len(batch) < self.config.batch_max:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
                     try:
-                        item = await asyncio.wait_for(self._queue.get(), remaining)
-                    except asyncio.TimeoutError:
+                        item = self._queue.get_nowait()
+                    except asyncio.QueueEmpty:
                         break
                     if item is None:
                         drained = True

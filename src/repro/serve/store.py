@@ -8,6 +8,11 @@ first touch.  Writes go through
 rename, fsync-dir — so a reader (including a restarted server) only ever
 sees a complete snapshot, and an unchanged session re-saves
 byte-identically (the restart tests pin this).
+
+Snapshots are compact canonical JSON: sorted keys, no insignificant
+whitespace, one trailing newline.  Files written indented by older
+releases load unchanged (only whitespace differs, so the version stamp
+stays 1) and are rewritten compactly by the session's next mutation.
 """
 
 from __future__ import annotations

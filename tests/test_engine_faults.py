@@ -298,3 +298,64 @@ class TestWeightedFaultRecovery:
         assert faulty.results == base.results
         assert faulty.failures.chunks_degraded == 1
         assert faulty.stats.chunks_degraded == 1
+
+
+class TestPoolBrokenDuringSubmission:
+    """A worker can die while the initial chunks are still being queued."""
+
+    def test_submit_on_broken_pool_recycles_instead_of_escaping(self):
+        from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        from dataclasses import dataclass
+
+        from repro.engine.resilience import ResilienceConfig, run_resilient
+
+        @dataclass(frozen=True)
+        class Chunk:
+            ordinal: int
+
+        @dataclass(frozen=True)
+        class Task:
+            unit: int
+            chunk: Chunk
+            attempt: int = 0
+
+        class BreaksOnSecondSubmit(ThreadPoolExecutor):
+            def __init__(self):
+                super().__init__(max_workers=1)
+                self.submitted = 0
+
+            def submit(self, fn, /, *args, **kwargs):
+                self.submitted += 1
+                if self.submitted >= 2:
+                    raise BrokenProcessPool("a child process terminated abruptly")
+                return super().submit(fn, *args, **kwargs)
+
+        executors = []
+
+        def executor_factory():
+            executors.append(
+                BreaksOnSecondSubmit() if not executors else ThreadPoolExecutor(1)
+            )
+            return executors[-1]
+
+        handled = []
+
+        def handle_outcome(task, outcome):
+            handled.append(outcome)
+            return False  # never improves a counterexample: nothing to prune
+
+        tasks = [Task(unit=0, chunk=Chunk(ordinal)) for ordinal in range(5)]
+        report = run_resilient(
+            tasks,
+            worker_fn=lambda task: task.chunk.ordinal * 10,
+            executor_factory=executor_factory,
+            handle_outcome=handle_outcome,
+            may_skip=lambda task: False,
+            serial_eval=lambda task: task.chunk.ordinal * 10,
+            config=ResilienceConfig(backoff_base=0.0),
+        )
+        assert sorted(handled) == [0, 10, 20, 30, 40]  # each chunk once
+        assert report.pool_restarts == 1
+        assert report.worker_crashes == 1
+        assert report.chunks_degraded == 0

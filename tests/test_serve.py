@@ -22,6 +22,7 @@ import pytest
 from repro import obs
 from repro.kb.knowledge_base import KnowledgeBase
 from repro.serve import (
+    SNAPSHOT_VERSION,
     ArbitrationServer,
     ServeClient,
     ServeConfig,
@@ -346,9 +347,8 @@ class TestSessionEndpoints:
 class TestBatchingAndAdmission:
     def test_concurrent_queries_coalesce_into_batches(self):
         async def main():
-            config = ServeConfig(port=0, batch_window=0.2, batch_max=32)
             with obs.use() as registry:
-                async with serve(config) as (server, client):
+                async with serve() as (server, client):
                     for index in range(4):
                         await client.request(
                             "POST",
@@ -367,17 +367,33 @@ class TestBatchingAndAdmission:
                         finally:
                             await extra.close()
 
-                    outcomes = await asyncio.gather(
-                        *(one_query(index) for index in range(8))
-                    )
+                    # Hold the single worker busy so the queries pile up
+                    # behind it; the greedy drain must then take every
+                    # queued one in one batch, whatever the timing.
+                    release = threading.Event()
+                    blocker = server._executor.submit(release.wait)
+                    try:
+                        queries = [
+                            asyncio.create_task(one_query(index))
+                            for index in range(8)
+                        ]
+                        deadline = time.monotonic() + 10.0
+                        while registry.counter("serve.queries").value < 4 + 8:
+                            assert time.monotonic() < deadline, "queries never queued"
+                            await asyncio.sleep(0.005)
+                    finally:
+                        release.set()
+                    outcomes = await asyncio.gather(*queries)
+                    blocker.result()
                 snapshot = registry.snapshot()
             return outcomes, snapshot
 
         outcomes, snapshot = run(main())
         assert all(status == 200 for status, _ in outcomes)
         counters = snapshot["counters"]
-        # eight concurrent same-vocabulary queries must not take eight
-        # batches; the window coalesces them onto the shared context
+        # eight same-vocabulary queries queued behind a busy worker must
+        # not take eight batches; the drain coalesces them onto the
+        # shared context
         assert counters["serve.coalesced"] >= 1
         assert counters["serve.batches"] < counters["serve.queries"]
         assert snapshot["histograms"]["serve.batch_size"]["max"] > 1
@@ -511,6 +527,55 @@ class TestPersistence:
         store = SessionStore(store_dir)
         store.save(store.load("persist", registry=ContextRegistry()))
         assert open(snapshot_path, "rb").read() == original_bytes
+
+    def test_legacy_indented_snapshot_loads_and_resaves_compact(self, tmp_path):
+        store_dir = tmp_path / "store"
+        store_dir.mkdir()
+        original = Session(
+            "legacy", atoms=["a", "b", "c"], formula="a", registry=ContextRegistry()
+        )
+        original.revise("b & c")
+        # only whitespace changed between the layouts: no version bump
+        assert SNAPSHOT_VERSION == 1
+        payload = {
+            "version": 1,
+            "kind": "serve-session",
+            **original.to_payload(),
+        }
+        # the indented layout older releases wrote
+        legacy_text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        snapshot_path = store_dir / "legacy.json"
+        snapshot_path.write_text(legacy_text, encoding="utf-8")
+
+        async def restarted():
+            config = ServeConfig(port=0, store_dir=str(store_dir))
+            async with serve(config) as (_, client):
+                state = await client.request("GET", "/v1/sessions/legacy")
+                unchanged = snapshot_path.read_text(encoding="utf-8")
+                fitted = await client.request(
+                    "POST",
+                    "/v1/sessions/legacy/query",
+                    {"op": "fit", "formula": "!a"},
+                )
+                return state, unchanged, fitted
+
+        state, unchanged, fitted = run(restarted())
+        assert state[0] == 200
+        assert state[1]["session"] == original.state()
+        assert unchanged == legacy_text  # a read never rewrites the file
+        original.fit("!a")
+        assert fitted[1]["session"] == original.state()
+        # the first mutation rewrote the snapshot in compact canonical form
+        compact_bytes = snapshot_path.read_bytes()
+        reparsed = json.loads(compact_bytes)
+        assert compact_bytes == (
+            json.dumps(reparsed, sort_keys=True, separators=(",", ":")) + "\n"
+        ).encode("utf-8")
+        assert len(compact_bytes) < len(legacy_text.encode("utf-8"))
+        # and a further re-save of the loaded session is byte-identical
+        store = SessionStore(str(store_dir))
+        store.save(store.load("legacy", registry=ContextRegistry()))
+        assert snapshot_path.read_bytes() == compact_bytes
 
     def test_mutations_snapshot_and_delete_removes_file(self, tmp_path):
         store_dir = str(tmp_path / "store")

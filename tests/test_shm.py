@@ -18,7 +18,6 @@ import dataclasses
 import json
 import os
 import signal
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -47,6 +46,8 @@ from repro.logic.interpretation import Vocabulary
 from repro.operators.revision import DalalRevision
 from repro.postulates.axioms import axiom_by_name
 from repro.postulates.matrix import compute_matrix
+
+from _processes import kill_group, spawn_group
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="needs numpy + multiprocessing.shared_memory"
@@ -462,9 +463,7 @@ class TestJournaledAudit:
             "--journal", journal_dir,
         ]
         env = dict(os.environ, PYTHONPATH=REPO_SRC)
-        process = subprocess.Popen(
-            args, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
-        )
+        process = spawn_group(args, env)
         journal_path = Path(journal_dir) / "journal.jsonl"
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
@@ -473,12 +472,11 @@ class TestJournaledAudit:
             if process.poll() is not None:
                 break  # finished before the kill — resume still must work
             time.sleep(0.02)
-        if process.poll() is None:
-            process.send_signal(signal.SIGKILL)
-        process.wait(timeout=60)
+        kill_group(process)
         # The CLI process may have died between segment creation and its
-        # arena cleanup; its resource_tracker unlinks them at teardown,
-        # which the autouse leak fixture then confirms.
+        # arena cleanup; its resource tracker, left alive by kill_group,
+        # unlinks them before exiting, which the autouse leak fixture
+        # then confirms.
 
         operators = [
             op

@@ -4,8 +4,6 @@ import io
 import json
 import os
 import random
-import signal
-import subprocess
 import sys
 import time
 from pathlib import Path
@@ -23,6 +21,8 @@ from repro.soak import (
     encode_rng_state,
     run_soak,
 )
+
+from _processes import kill_group, spawn_group
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -207,9 +207,7 @@ class TestKillAndResume:
             "--chunk-size", "32", "--journal", journal_dir,
         ]
         env = dict(os.environ, PYTHONPATH=REPO_SRC)
-        process = subprocess.Popen(
-            args, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
-        )
+        process = spawn_group(args, env)
         journal_path = Path(journal_dir) / "journal.jsonl"
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
@@ -218,9 +216,7 @@ class TestKillAndResume:
             if process.poll() is not None:
                 break  # finished before we could kill it — resume still works
             time.sleep(0.02)
-        if process.poll() is None:
-            process.send_signal(signal.SIGKILL)
-        process.wait(timeout=60)
+        kill_group(process)
 
         config = SoakConfig(seed=21, steps=600, atoms=4, chunk_size=32)
         resumed = run_soak(config, journal_dir=journal_dir, resume=True)
